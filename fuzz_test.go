@@ -7,6 +7,18 @@ import (
 	"sfcp/internal/codec"
 )
 
+// fuzzLabel maps a fuzz byte to a B label. Bytes below 200 fold into five
+// labels, which keeps equivalent cycles and matching trees common; bytes
+// from 200 up become labels far above 4n. Those reach the linear solver's
+// label-rich fallback (labels ≥ 4n, more than 8 classes) and multi-byte
+// canonical cycle keys (labels ≥ 128).
+func fuzzLabel(v byte) int {
+	if v >= 200 {
+		return int(v) << 12
+	}
+	return int(v % 5)
+}
+
 // FuzzSolve cross-checks the paper's parallel algorithm against naive
 // refinement on arbitrary byte-derived instances. Run longer with:
 //
@@ -16,6 +28,7 @@ func FuzzSolve(f *testing.F) {
 	f.Add([]byte{1, 0}, []byte{0, 0})
 	f.Add([]byte{0}, []byte{5})
 	f.Add([]byte{3, 3, 3, 3, 2, 1, 0, 7}, []byte{1, 1, 2, 2, 1, 1, 2, 2})
+	f.Add([]byte{3, 3, 3, 3, 2, 1, 0, 7}, []byte{1, 250, 2, 210, 1, 1, 255, 2})
 	f.Fuzz(func(t *testing.T, rawF, rawB []byte) {
 		n := len(rawF)
 		if n == 0 || n > 300 {
@@ -25,7 +38,7 @@ func FuzzSolve(f *testing.F) {
 		for i := range rawF {
 			ins.F[i] = int(rawF[i]) % n
 			if i < len(rawB) {
-				ins.B[i] = int(rawB[i] % 5)
+				ins.B[i] = fuzzLabel(rawB[i])
 			}
 		}
 		ref, err := SolveWith(ins, Options{Algorithm: AlgorithmMoore})
@@ -55,6 +68,7 @@ func FuzzResolveMatchesFullSolve(f *testing.F) {
 	f.Add([]byte{1, 0}, []byte{0, 0}, []byte{0, 1, 1})
 	f.Add([]byte{3, 3, 3, 3, 2, 1, 0, 7}, []byte{1, 1, 2, 2, 1, 1, 2, 2}, []byte{7, 0, 0, 4, 1, 9, 2, 2, 1})
 	f.Add([]byte{0}, []byte{5}, []byte{0, 2, 1})
+	f.Add([]byte{3, 3, 3, 3, 2, 1, 0, 7}, []byte{1, 250, 2, 210, 1, 1, 255, 2}, []byte{7, 1, 230, 4, 2, 201, 2, 2, 1})
 	f.Fuzz(func(t *testing.T, rawF, rawB, rawEdits []byte) {
 		n := len(rawF)
 		if n == 0 || n > 300 || len(rawEdits) > 120 {
@@ -64,7 +78,7 @@ func FuzzResolveMatchesFullSolve(f *testing.F) {
 		for i := range rawF {
 			ins.F[i] = int(rawF[i]) % n
 			if i < len(rawB) {
-				ins.B[i] = int(rawB[i] % 5)
+				ins.B[i] = fuzzLabel(rawB[i])
 			}
 		}
 		inc, err := NewIncremental(ins)
@@ -110,7 +124,7 @@ func FuzzResolveMatchesFullSolve(f *testing.F) {
 				edited.F[node] = fv
 			}
 			if kind != 0 { // B edit (alone or with F)
-				bv := val % 5
+				bv := fuzzLabel(rawEdits[i+2])
 				e.B = &bv
 				edited.B[node] = bv
 			}

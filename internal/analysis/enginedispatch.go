@@ -10,7 +10,9 @@ import "go/ast"
 // NumClasses, SamePartition, the incr.Edit/Info types, ...) stay free to
 // use. The same rule covers the incremental path: incr.Build constructs
 // live decomposition state, so it must flow through engine.NewIncremental
-// where the planner and calibration profile see it.
+// where the planner and calibration profile see it. The sequential
+// kernel (coarsest.Kernel) is guarded the same way: beyond the engine
+// and coarsest, only incr may run it.
 var EngineDispatch = &Analyzer{
 	Name: "enginedispatch",
 	Doc:  "forbid direct use of solver entry points (coarsest solvers, incr.Build) outside internal/engine",
@@ -34,6 +36,8 @@ var dispatchRules = []dispatchRule{
 			"Moore":                   true,
 			"Hopcroft":                true,
 			"LinearSequential":        true,
+			"LinearSequentialScratch": true,
+			"LinearSequentialBatch":   true,
 			"NativeParallel":          true,
 			"NativeParallelScratch":   true,
 			"NativeParallelCtx":       true,
@@ -48,6 +52,17 @@ var dispatchRules = []dispatchRule{
 		exempt: map[string]bool{
 			"sfcp/internal/engine":   true,
 			"sfcp/internal/coarsest": true,
+		},
+	},
+	{
+		// The sequential kernel is the core both the full solve and the
+		// incremental re-solve run; only their packages may use it.
+		path:    "sfcp/internal/coarsest",
+		entries: map[string]bool{"Kernel": true},
+		exempt: map[string]bool{
+			"sfcp/internal/engine":   true,
+			"sfcp/internal/coarsest": true,
+			"sfcp/internal/incr":     true,
 		},
 	},
 	{

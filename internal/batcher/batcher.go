@@ -421,6 +421,14 @@ func (b *Batcher) run(batch []*item, reason string) {
 // scratch (members view, out slice) and the batch's backing array are
 // recycled, so a steady flush stream allocates nothing here.
 func (b *Batcher) execute(batch []*item, reason string) {
+	if b.ctx.Err() != nil {
+		// Shutdown began before this batch could start: the cancel that
+		// unparks a busy slot can free it just as a late arrival reaches
+		// the collector, and that arrival must fail like the queue it
+		// raced instead of being solved.
+		fail(batch)
+		return
+	}
 	flushed := time.Now()
 	fb, _ := b.bufs.Get().(*flushBuf)
 	if fb == nil {

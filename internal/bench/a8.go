@@ -85,10 +85,13 @@ func A8IncrementalResolve(cfg Config) {
 			return
 		}
 		var sc coarsest.Scratch
+		seen := map[int]bool{}
 		for _, edits := range []int{1, 8, 64, k / 4} {
-			if edits > k {
+			// k/4 equals 64 at n = 2^16; measure each edit count once.
+			if edits > k || seen[edits] {
 				continue
 			}
+			seen[edits] = true
 			// One B-edit per distinct component: the dirty region is
 			// exactly edits * CycleLen nodes. Re-applying an identical
 			// already-applied delta is idempotent and costs the same

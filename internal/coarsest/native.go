@@ -17,33 +17,19 @@ import (
 // concurrency keep one per worker (e.g. via sync.Pool). The zero value
 // is ready to use.
 type Scratch struct {
-	i32                          [][]int32
-	i64                          [][]int64
-	bools                        [][]bool
-	ints                         [][]int
-	i8                           [][]int8
-	ni32, ni64, nbool, nint, ni8 int
+	i32               [][]int32
+	i64               [][]int64
+	bools             [][]bool
+	ni32, ni64, nbool int
 
-	// Linear-solver dictionaries, reused across calls so the per-call cost
-	// is a clear (proportional to the previous solve's entries) instead of
-	// fresh bucket allocation.
-	canonCls  map[string]int // canonical cycle string -> class
-	pairCodes map[int64]int  // fallback pair coder when B is label-rich
-	bRename   map[int]int    // fallback dense rename for huge B values
-	key       []byte         // canonical-string key build buffer
-	// pairArr is the fast pair coder: indexed parentCode*L + bclass, value
-	// code+1. It is kept all-zero BETWEEN solves by undoing the touched
-	// entries (recorded in pairTouched) at the end of each solve, so a new
-	// solve never pays an O(len) clear.
-	pairArr     []int
-	pairTouched []int
+	// The linear solver's kernel and pair coder, reused across calls so
+	// their dictionaries cost a clear instead of fresh buckets.
+	kernel Kernel
+	pairs  arrayCoder
 }
 
 func (s *Scratch) reset() {
-	s.ni32, s.ni64, s.nbool, s.nint, s.ni8 = 0, 0, 0, 0, 0
-	clear(s.canonCls)
-	clear(s.pairCodes)
-	clear(s.bRename)
+	s.ni32, s.ni64, s.nbool = 0, 0, 0
 }
 
 // bufI32 hands out the next zeroed int32 buffer of length n, growing the
@@ -81,38 +67,6 @@ func (s *Scratch) bufBool(n int) []bool {
 	buf := s.bools[s.nbool][:n]
 	clear(buf)
 	s.nbool++
-	return buf
-}
-
-func (s *Scratch) bufInt(n int) []int {
-	buf := s.bufIntRaw(n)
-	clear(buf)
-	return buf
-}
-
-// bufIntRaw is bufInt without the zeroing pass — for buffers that are
-// fully written before they are read, where the clear is pure overhead on
-// the small-solve hot path.
-func (s *Scratch) bufIntRaw(n int) []int {
-	if s.nint == len(s.ints) {
-		s.ints = append(s.ints, make([]int, n))
-	} else if cap(s.ints[s.nint]) < n {
-		s.ints[s.nint] = make([]int, n)
-	}
-	buf := s.ints[s.nint][:n]
-	s.nint++
-	return buf
-}
-
-func (s *Scratch) bufI8(n int) []int8 {
-	if s.ni8 == len(s.i8) {
-		s.i8 = append(s.i8, make([]int8, n))
-	} else if cap(s.i8[s.ni8]) < n {
-		s.i8[s.ni8] = make([]int8, n)
-	}
-	buf := s.i8[s.ni8][:n]
-	clear(buf)
-	s.ni8++
 	return buf
 }
 
@@ -431,4 +385,17 @@ func NativeParallelCtx(ctx context.Context, ins Instance, workers int, sc *Scrat
 		labels[x] = id
 	}
 	return labels, nil
+}
+
+// intsKey builds a map key from an int slice.
+func intsKey(s []int) string {
+	buf := make([]byte, 0, len(s)*5)
+	for _, v := range s {
+		for v >= 0x80 {
+			buf = append(buf, byte(v)|0x80)
+			v >>= 7
+		}
+		buf = append(buf, byte(v), 0xff)
+	}
+	return string(buf)
 }

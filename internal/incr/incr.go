@@ -6,6 +6,17 @@
 // under the canonical first-occurrence renumbering — so every version's
 // labels are byte-identical to a full solve of the edited instance.
 //
+// There is one sequential kernel, coarsest.Kernel, with two pair coders.
+// The full solve (coarsest.LinearSequential) runs it once over all nodes
+// with dense arrays; this package runs it over dirty regions with
+// persistent maps, keeping every code across passes. Both coders stay
+// because the maps are up to twice as slow on a full solve: on a
+// 2^20-node random function, Build took 790 ms against LinearSequential's
+// 408 ms, and 617 ms against 474 ms on a permutation (min of 5, 2-vCPU
+// Xeon, go1.24). What is left here is what is truly incremental: edits,
+// dirty component leaders, the component index refreshed from the
+// kernel's leaders, and the rebuild valve.
+//
 // Why component-scoped recompute is sound: a node's Q-label is a function
 // of its forward orbit's B-signature (Lemma 2.1), and the orbit of a node
 // outside the edited components never meets an edited node — components
@@ -15,18 +26,17 @@
 // F-targets, which makes it closed under the edited function (every
 // unedited edge stays inside its old component; every edited edge lands
 // in an included component). Closure means the recompute needs no
-// boundary handling at all: it is the full four-step decomposition run on
+// boundary handling at all: it is the kernel's full four-step pass run on
 // the region as a standalone sub-pseudo-forest.
 //
 // Why spliced labels stay globally consistent: equivalence classes span
 // components (two cycles in different components can share a canonical
-// string; two trees can share pair structure), so the recompute codes
+// string; two trees can share pair structure), so the kernel codes
 // through persistent injective maps — canonical cycle string -> class,
-// (class, offset) -> code, cycle code -> anchor code, B label -> dense
-// class, (parent code, B class) -> code — that retain every assignment
-// ever made. A recomputed node whose structure matches a clean node's
-// reaches the same map entry and gets the same code; a genuinely new
-// structure gets a fresh code from the shared counter, so codes stay
+// (class, offset) -> code, cycle code -> anchor code, (parent code,
+// B label) -> code — that retain every assignment since the last Reset. A recomputed node whose structure matches a clean
+// node's reaches the same map entry and gets the same code; a genuinely
+// new structure gets a fresh code from the shared counter, so codes stay
 // injective across the clean/dirty boundary. Recomputation is therefore
 // idempotent on unchanged nodes, and one O(n) first-occurrence renumber
 // of the raw codes reproduces exactly the canonical labels a full solve
@@ -38,7 +48,6 @@ package incr
 import (
 	"fmt"
 
-	"sfcp/internal/circ"
 	"sfcp/internal/coarsest"
 )
 
@@ -82,57 +91,11 @@ type State struct {
 	n    int
 
 	// True cross-delta state: where each node lives and what it codes to.
-	comp      []int         // node -> component leader (a cycle node)
-	raw       []int         // node -> persistent dense Q-code (0-based)
-	compNodes map[int][]int // leader -> member nodes
+	comp      []int           // node -> component leader (a cycle node)
+	compNodes map[int][]int   // leader -> member nodes
+	k         coarsest.Kernel // raw codes and the persistent coder
 
-	// Persistent coder: injective structure -> code maps shared across
-	// components and deltas (see package comment).
-	canonCls  map[string]int // canonical cycle string -> class
-	classBase []int          // class -> first slot in codeArr
-	codeArr   []int          // class base + offset -> code+1 (0 unassigned)
-	anchor    map[int]int    // cycle code -> anchor code (1-based)
-	bRename   map[int]int    // B label -> dense class
-	pairCodes map[int64]int  // parentCode<<32 | bclass -> code (1-based)
-	nextCode  int
-
-	// Epoch-scoped decomposition arrays: values are meaningful only for
-	// nodes written during the current solveRegion pass (the region is
-	// closed under F, so the pass never consults a stale entry).
-	onCycle  []bool
-	marked   []bool
-	level    []int
-	root     []int
-	cycleOf  []int
-	rankOf   []int
-	cycleLen []int
-	cycleCls []int
-	cycleOff []int
-	cyclePer []int
-	cycStart []int
-
-	// Epoch stamps avoid O(n) clears between deltas: a slot is "set this
-	// pass" iff its stamp matches the current epoch.
-	vstamp  []int
-	lvstamp []int
-	seen    []int
-	epoch   int
-
-	// Grown scratch, reused across passes.
-	path   []int
-	order  []int
-	cycSeq []int
-	bsBuf  []int
-	cnt    []int
-	starts []int
-	region []int
-	key    []byte
-
-	// Renumber scratch: code -> (stamp, id), stamped per renumber pass.
-	idStamp []int
-	idVal   []int
-	renum   int
-
+	region  []int // dirty-region scratch, reused across deltas
 	labels  []int // current canonical labels (first-occurrence renumbered)
 	classes int
 }
@@ -179,71 +142,48 @@ func (s *State) DirtyStats(edits []Edit) (nodes, comps int, err error) {
 	if err := s.validateEdits(edits); err != nil {
 		return 0, 0, err
 	}
-	leaders := s.dirtyLeaders(edits)
-	for l := range leaders {
-		nodes += len(s.compNodes[l])
-	}
-	return nodes, len(leaders), nil
+	_, info := s.dirty(edits)
+	return info.DirtyNodes, info.DirtyComponents, nil
 }
 
 // ApplyDelta applies the edits and recomputes labels by re-running the
-// decomposition on the dirty region only. Output labels are
-// byte-identical to a full solve of the edited instance. The state's
-// persistent code space grows with structural churn; when it passes
-// codeSlack*n the call transparently rebuilds instead (Info.Rebuilt).
-// The returned slice is owned by the state (see Labels).
+// kernel on the dirty region only. Output labels are byte-identical to a
+// full solve of the edited instance. The state's persistent code space
+// grows with structural churn; when it passes codeSlack*n the call
+// transparently rebuilds instead (Info.Rebuilt). The returned slice is
+// owned by the state (see Labels).
 func (s *State) ApplyDelta(edits []Edit) ([]int, Info, error) {
-	if err := s.validateEdits(edits); err != nil {
-		return nil, Info{}, err
-	}
-	if len(edits) == 0 {
-		return s.labels, Info{NumClasses: s.classes}, nil
-	}
-	leaders := s.dirtyLeaders(edits)
-	info := Info{DirtyComponents: len(leaders)}
-	for l := range leaders {
-		info.DirtyNodes += len(s.compNodes[l])
-	}
-	info.DirtyFrac = float64(info.DirtyNodes) / float64(s.n)
-
-	s.applyEdits(edits)
-
-	if s.nextCode > codeSlack*s.n {
-		s.init()
-		info.Rebuilt = true
-		info.NumClasses = s.classes
-		return s.labels, info, nil
-	}
-
-	region := s.region[:0]
-	for l := range leaders {
-		region = append(region, s.compNodes[l]...)
-		delete(s.compNodes, l)
-	}
-	s.region = region
-	s.solveRegion(region)
-	s.renumber()
-	info.NumClasses = s.classes
-	return s.labels, info, nil
+	return s.apply(edits, false)
 }
 
 // Rebuild applies the edits and re-founds the whole state with a full
 // solve — the planner's fallback when the dirty fraction makes the
 // incremental path a loss. The returned slice is owned by the state.
 func (s *State) Rebuild(edits []Edit) ([]int, Info, error) {
+	return s.apply(edits, true)
+}
+
+func (s *State) apply(edits []Edit, rebuild bool) ([]int, Info, error) {
 	if err := s.validateEdits(edits); err != nil {
 		return nil, Info{}, err
 	}
-	leaders := s.dirtyLeaders(edits)
-	info := Info{DirtyComponents: len(leaders), Rebuilt: true}
-	for l := range leaders {
-		info.DirtyNodes += len(s.compNodes[l])
+	if len(edits) == 0 && !rebuild {
+		return s.labels, Info{NumClasses: s.classes}, nil
 	}
-	if s.n > 0 {
-		info.DirtyFrac = float64(info.DirtyNodes) / float64(s.n)
-	}
+	leaders, info := s.dirty(edits)
 	s.applyEdits(edits)
-	s.init()
+	if rebuild || s.k.Codes() > codeSlack*s.n {
+		s.init()
+		info.Rebuilt = true
+	} else {
+		region := s.region[:0]
+		for l := range leaders {
+			region = append(region, s.compNodes[l]...)
+			delete(s.compNodes, l)
+		}
+		s.region = region
+		s.solveRegion(region)
+	}
 	info.NumClasses = s.classes
 	return s.labels, info, nil
 }
@@ -266,12 +206,12 @@ func (s *State) validateEdits(edits []Edit) error {
 	return nil
 }
 
-// dirtyLeaders collects the component leaders a delta invalidates under
-// the pre-edit decomposition: the edited nodes' components (which also
-// cover the old F-targets — a node and its old target share a component)
-// and the new F-targets' components (which closes the region under the
-// edited function).
-func (s *State) dirtyLeaders(edits []Edit) map[int]struct{} {
+// dirty collects the component leaders a delta invalidates under the
+// pre-edit decomposition — the edited nodes' components (which also cover
+// the old F-targets: a node and its old target share a component) and the
+// new F-targets' components (which closes the region under the edited
+// function) — and sizes that region.
+func (s *State) dirty(edits []Edit) (map[int]struct{}, Info) {
 	leaders := make(map[int]struct{}, len(edits)*2)
 	for _, e := range edits {
 		leaders[s.comp[e.Node]] = struct{}{}
@@ -279,7 +219,14 @@ func (s *State) dirtyLeaders(edits []Edit) map[int]struct{} {
 			leaders[s.comp[e.F]] = struct{}{}
 		}
 	}
-	return leaders
+	info := Info{DirtyComponents: len(leaders)}
+	for l := range leaders {
+		info.DirtyNodes += len(s.compNodes[l])
+	}
+	if s.n > 0 {
+		info.DirtyFrac = float64(info.DirtyNodes) / float64(s.n)
+	}
+	return leaders, info
 }
 
 func (s *State) applyEdits(edits []Edit) {
@@ -293,335 +240,32 @@ func (s *State) applyEdits(edits []Edit) {
 	}
 }
 
-// init (re)founds the state from the current f/b: fresh coder maps, one
-// full-region solve, canonical renumber. Epoch counters are never reset
-// — stamps stay monotonic so reused arrays need no clearing.
+// init (re)founds the state from the current f/b: fresh codes, one
+// full-region pass, canonical renumber.
 func (s *State) init() {
-	n := len(s.f)
-	s.n = n
-	s.comp = sized(s.comp, n)
-	s.raw = sized(s.raw, n)
-	s.level = sized(s.level, n)
-	s.root = sized(s.root, n)
-	s.cycleOf = sized(s.cycleOf, n)
-	s.rankOf = sized(s.rankOf, n)
-	s.cycleLen = sized(s.cycleLen, n)
-	s.cycleCls = sized(s.cycleCls, n)
-	s.cycleOff = sized(s.cycleOff, n)
-	s.cyclePer = sized(s.cyclePer, n)
-	s.cycStart = sized(s.cycStart, n)
-	s.vstamp = sized(s.vstamp, n)
-	s.lvstamp = sized(s.lvstamp, n)
-	s.seen = sized(s.seen, n)
-	s.onCycle = sizedBool(s.onCycle, n)
-	s.marked = sizedBool(s.marked, n)
-
-	s.canonCls = make(map[string]int)
-	s.classBase = s.classBase[:0]
-	s.codeArr = s.codeArr[:0]
-	s.anchor = make(map[int]int)
-	s.bRename = make(map[int]int)
-	s.pairCodes = make(map[int64]int)
-	s.nextCode = 0
-	s.compNodes = make(map[int][]int, 16)
-
-	all := sized(s.region, n)
-	for i := range all {
-		all[i] = i
+	s.n = len(s.f)
+	if cap(s.comp) < s.n {
+		s.comp = make([]int, s.n)
 	}
-	s.region = all
-	s.solveRegion(all)
-	s.renumber()
+	s.comp = s.comp[:s.n]
+	s.compNodes = make(map[int][]int, 16)
+	s.k.Reset(s.n)
+	s.solveRegion(s.k.All())
 }
 
-// solveRegion runs the four-step linear decomposition on a region that
-// is closed under f — either the whole instance (init) or a dirty
-// component union (ApplyDelta) — assigning raw codes through the
-// persistent coder and refreshing comp/compNodes for the region's nodes.
-// The caller must have removed the region's old leaders from compNodes.
-// Region nodes must be distinct.
+// solveRegion re-runs the kernel on a region closed under f, refreshes
+// comp/compNodes for its nodes from the kernel's leaders and renumbers
+// the labels. The caller must have removed the region's old leaders from
+// compNodes.
 func (s *State) solveRegion(nodes []int) {
-	f, b := s.f, s.b
-	s.epoch += 2
-	ep := s.epoch // vstamp: ep = on current walk, ep+1 = resolved
-
-	// Step 1: cycle detection with visit stamps. Every region node gets
-	// an explicit onCycle value this pass.
-	path := s.path[:0]
-	for _, start := range nodes {
-		if s.vstamp[start] >= ep {
-			continue
-		}
-		path = path[:0]
-		x := start
-		for s.vstamp[x] < ep {
-			s.vstamp[x] = ep
-			s.onCycle[x] = false
-			path = append(path, x)
-			x = f[x]
-		}
-		if s.vstamp[x] == ep {
-			for i := len(path) - 1; i >= 0; i-- {
-				s.onCycle[path[i]] = true
-				if path[i] == x {
-					break
-				}
-			}
-		}
-		for _, y := range path {
-			s.vstamp[y] = ep + 1
-		}
-	}
-	s.path = path[:0]
-
-	// Step 2: canonical form per cycle; Q-codes for cycle nodes through
-	// the persistent (class, offset) coder. The leader of a cycle is its
-	// first node seen in region order.
-	cycSeq := s.cycSeq[:0]
-	key := s.key
-	for _, start := range nodes {
-		if !s.onCycle[start] || s.seen[start] == ep {
-			continue
-		}
-		first := len(cycSeq)
-		x := start
-		for s.seen[x] != ep {
-			s.seen[x] = ep
-			cycSeq = append(cycSeq, x)
-			x = f[x]
-		}
-		cyc := cycSeq[first:]
-		s.cycStart[start] = first
-		bs := s.bsBuf[:0]
-		for _, y := range cyc {
-			bs = append(bs, b[y])
-		}
-		s.bsBuf = bs
-		p := circ.SmallestRepeatingPrefix(bs)
-		prefix := bs[:p]
-		msp := circ.BoothMSP(prefix)
-		// Varint-encode the rotated prefix into the reusable key buffer;
-		// the same B values always produce the same bytes, so classes
-		// persist across deltas.
-		key = key[:0]
-		for i := 0; i < p; i++ {
-			v := prefix[(msp+i)%p]
-			for v >= 0x80 {
-				key = append(key, byte(v)|0x80)
-				v >>= 7
-			}
-			key = append(key, byte(v), 0xff)
-		}
-		cls, ok := s.canonCls[string(key)]
-		if !ok {
-			cls = len(s.canonCls)
-			s.canonCls[string(key)] = cls
-			s.classBase = append(s.classBase, len(s.codeArr))
-			for i := 0; i < p; i++ {
-				s.codeArr = append(s.codeArr, 0)
-			}
-		}
-		base := s.classBase[cls]
-		for i, y := range cyc {
-			s.cycleOf[y] = start
-			s.rankOf[y] = i
-			s.cycleLen[y] = len(cyc)
-			s.cycleCls[y] = cls
-			s.cyclePer[y] = p
-			s.cycleOff[y] = msp
-			s.marked[y] = true
-			off := ((i-msp)%p + p) % p
-			code := s.codeArr[base+off]
-			if code == 0 {
-				s.nextCode++
-				code = s.nextCode
-				s.codeArr[base+off] = code
-			}
-			s.raw[y] = code - 1
-		}
-	}
-	s.cycSeq = cycSeq
-	s.key = key
-
-	// Step 3: tree levels, iteratively (deep paths would overflow a
-	// recursion stack): walk up to the first node resolved this pass,
-	// then unwind.
-	maxLevel := 0
-	path = s.path[:0]
-	for _, start := range nodes {
-		x := start
-		path = path[:0]
-		for !s.onCycle[x] && s.lvstamp[x] != ep {
-			path = append(path, x)
-			x = f[x]
-		}
-		var base, r int
-		if s.onCycle[x] {
-			base, r = 0, x
-		} else {
-			base, r = s.level[x], s.root[x]
-		}
-		for i := len(path) - 1; i >= 0; i-- {
-			base++
-			y := path[i]
-			s.level[y] = base
-			s.root[y] = r
-			s.lvstamp[y] = ep
-			if base > maxLevel {
-				maxLevel = base
-			}
-		}
-	}
-	s.path = path[:0]
-
-	// Counting sort of the region's tree nodes by level.
-	nTree := 0
-	cnt := sizedZero(s.cnt, maxLevel+2)
+	s.k.Solve(s.f, s.b, nodes)
 	for _, x := range nodes {
-		if !s.onCycle[x] {
-			cnt[s.level[x]]++
-			nTree++
-		}
-	}
-	starts := sized(s.starts, maxLevel+2)
-	sum := 0
-	for l := 1; l <= maxLevel; l++ {
-		starts[l] = sum
-		sum += cnt[l]
-	}
-	starts[maxLevel+1] = sum
-	order := sized(s.order, nTree)
-	copy(cnt[1:maxLevel+1], starts[1:maxLevel+1]) // reuse cnt as fill cursors
-	for _, x := range nodes {
-		if !s.onCycle[x] {
-			l := s.level[x]
-			order[cnt[l]] = x
-			cnt[l]++
-		}
-	}
-	s.cnt, s.starts, s.order = cnt, starts, order
-
-	// Step 4: mark tree nodes matching their cycle counterpart
-	// (Lemma 4.1) top-down; matches inherit the cycle's (class, offset)
-	// code, which step 2 assigned (a cycle covers every offset of its
-	// class — possibly in an earlier pass, through the same codeArr).
-	for l := 1; l <= maxLevel; l++ {
-		for _, x := range order[starts[l]:starts[l+1]] {
-			m := false
-			if s.marked[f[x]] {
-				r := s.root[x]
-				k := s.cycleLen[r]
-				cr := ((s.rankOf[r]-l)%k + k) % k
-				if b[x] == b[cycSeq[s.cycStart[s.cycleOf[r]]+cr]] {
-					p := s.cyclePer[r]
-					off := ((cr-s.cycleOff[r])%p + p) % p
-					m = true
-					s.raw[x] = s.codeArr[s.classBase[s.cycleCls[r]]+off] - 1
-				}
-			}
-			s.marked[x] = m
-		}
-	}
-
-	// Step 5: unmarked nodes top-down with (B class, parent code) pairs
-	// (Lemma 4.2). All three coders — B rename, marked-parent anchors,
-	// pair codes — are the persistent maps, so structures recomputed
-	// here meet the codes their clean twins already hold. Anchor codes
-	// keep marked parents (cycle codes) from colliding with unmarked
-	// parents (pair codes) in pair-key space.
-	for l := 1; l <= maxLevel; l++ {
-		for _, x := range order[starts[l]:starts[l+1]] {
-			if s.marked[x] {
-				continue
-			}
-			bc, ok := s.bRename[b[x]]
-			if !ok {
-				bc = len(s.bRename)
-				s.bRename[b[x]] = bc
-			}
-			var parentCode int
-			px := f[x]
-			if s.marked[px] {
-				a, ok := s.anchor[s.raw[px]]
-				if !ok {
-					s.nextCode++
-					a = s.nextCode
-					s.anchor[s.raw[px]] = a
-				}
-				parentCode = a - 1
-			} else {
-				parentCode = s.raw[px]
-			}
-			k := int64(parentCode)<<32 | int64(uint32(bc))
-			code, ok := s.pairCodes[k]
-			if !ok {
-				s.nextCode++
-				code = s.nextCode
-				s.pairCodes[k] = code
-			}
-			s.raw[x] = code - 1
-		}
-	}
-
-	// Refresh component membership. Region closure means every region
-	// node's cycle is in-region, so its leader was set this pass.
-	for _, x := range nodes {
-		var leader int
-		if s.onCycle[x] {
-			leader = s.cycleOf[x]
-		} else {
-			leader = s.cycleOf[s.root[x]]
-		}
+		leader := s.k.Leader(x)
 		s.comp[x] = leader
 		s.compNodes[leader] = append(s.compNodes[leader], x)
 	}
-}
-
-// renumber converts the persistent raw codes into canonical
-// first-occurrence labels — the same normal form every full solver
-// emits, which is what makes spliced output byte-identical.
-func (s *State) renumber() {
-	if cap(s.idStamp) < s.nextCode {
-		s.idStamp = make([]int, s.nextCode)
-		s.idVal = make([]int, s.nextCode)
-	}
-	idStamp := s.idStamp[:s.nextCode]
-	idVal := s.idVal[:s.nextCode]
-	s.renum++
-	rn := s.renum
 	if s.labels == nil || len(s.labels) != s.n {
 		s.labels = make([]int, s.n)
 	}
-	next := 0
-	for i, c := range s.raw {
-		if idStamp[c] != rn {
-			idStamp[c] = rn
-			idVal[c] = next
-			next++
-		}
-		s.labels[i] = idVal[c]
-	}
-	s.classes = next
-}
-
-func sized(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-func sizedZero(buf []int, n int) []int {
-	buf = sized(buf, n)
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-func sizedBool(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	return buf[:n]
+	s.classes = s.k.Canonical(s.labels)
 }

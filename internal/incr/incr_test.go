@@ -187,7 +187,7 @@ func TestCodeExhaustionValve(t *testing.T) {
 		rebuilt = rebuilt || info.Rebuilt
 	}
 	if !rebuilt {
-		t.Fatalf("valve never fired: nextCode=%d bound=%d", st.nextCode, codeSlack*n)
+		t.Fatalf("valve never fired: nextCode=%d bound=%d", st.k.Codes(), codeSlack*n)
 	}
 	// The state remains usable and correct after the rebuild.
 	edits := []Edit{{Node: 3, SetF: true, F: 40}}

@@ -200,6 +200,10 @@ func (s *Solver) SolveBatchPlanned(ctx context.Context, instances []Instance, pl
 			}
 		}
 		start := time.Now()
+		// The batch plan is already resolved (Linear), and the engine has no
+		// coalesced-batch entry: one dispatch per member would forfeit the
+		// shared arena and label slab this path exists for.
+		//sfcpvet:ignore enginedispatch -- executes an engine-resolved Linear plan for a coalesced batch
 		labels, classes := coarsest.LinearSequentialBatch(members, sc)
 		elapsed := time.Since(start)
 		j := 0
