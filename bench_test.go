@@ -22,10 +22,10 @@ import (
 
 const benchSeed = 1993
 
-// BenchmarkPlannerAuto measures what the adaptive planner buys on
-// below-crossover instances: AlgorithmAuto (resolved to the sequential
-// linear solver) against the seed behavior of always running
-// native-parallel. Regenerate the full sweep with `sfcpbench -exp A4`.
+// BenchmarkPlannerAuto measures what the planner buys on a small
+// instance: AlgorithmAuto (resolved to the sequential linear solver)
+// against the seed behavior of always running native-parallel.
+// Regenerate the full sweep with `sfcpbench -exp A4`.
 func BenchmarkPlannerAuto(b *testing.B) {
 	wl := workload.RandomFunction(benchSeed, 1<<12, 3)
 	ins := Instance{F: wl.F, B: wl.B}

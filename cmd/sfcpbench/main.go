@@ -6,23 +6,16 @@
 //	sfcpbench -all             # everything
 //	sfcpbench -all -quick      # smaller sweeps
 //	sfcpbench -list            # show available experiments
-//	sfcpbench -exp A4 -out BENCH_planner.json   # machine-readable crossover data
-//	sfcpbench -calibrate -out profile.json      # fit this host's planner profile
-//	sfcpbench -exp A4 -calibration-file profile.json   # re-run A4 under the fit
+//	sfcpbench -exp A4 -out BENCH_A4.json        # machine-readable planner data
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
-	"sfcp"
 	"sfcp/internal/bench"
-	"sfcp/internal/calib"
 )
 
 // errTrackWriter remembers the first write failure. The experiments write
@@ -42,15 +35,12 @@ func (e *errTrackWriter) Write(p []byte) (int, error) {
 }
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (E1..E10, A1..A8)")
+	exp := flag.String("exp", "", "experiment id (E1..E10, A1..A5, A7, A8)")
 	all := flag.Bool("all", false, "run every experiment")
 	quick := flag.Bool("quick", false, "smaller sweeps")
 	list := flag.Bool("list", false, "list experiments")
 	seed := flag.Int64("seed", 1993, "workload seed")
-	outPath := flag.String("out", "", "write results to this file instead of stdout (e.g. BENCH_planner.json for -exp A4)")
-	calibrate := flag.Bool("calibrate", false, "fit a planner calibration profile on this host and write it as JSON (-out profile.json)")
-	calibBudget := flag.Duration("calibrate-budget", 3*time.Second, "wall-clock budget for -calibrate (-quick shrinks it to 750ms)")
-	calibFile := flag.String("calibration-file", "", "load a fitted profile before running experiments (steers the planner's auto arm, e.g. in A4)")
+	outPath := flag.String("out", "", "write results to this file instead of stdout (e.g. BENCH_A4.json for -exp A4)")
 	flag.Parse()
 
 	out := &errTrackWriter{w: os.Stdout}
@@ -76,34 +66,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *calibFile != "" {
-		prof, err := sfcp.LoadCalibrationProfile(*calibFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sfcpbench:", err)
-			os.Exit(1)
-		}
-		sfcp.SetCalibrationProfile(prof)
-	}
 	cfg := bench.Config{Out: out, Quick: *quick, Seed: *seed}
 	switch {
-	case *calibrate:
-		budget := *calibBudget
-		if *quick {
-			budget = 750 * time.Millisecond
-		}
-		rep, err := calib.Calibrate(context.Background(), calib.Options{
-			Budget: budget, Seed: *seed, Log: os.Stderr,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sfcpbench:", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(rep.Profile, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sfcpbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(out, string(data))
 	case *list:
 		for _, e := range bench.All() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
@@ -116,7 +80,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sfcpbench: unknown experiment %q; -list shows the catalogue\n", *exp)
 			os.Exit(1)
 		}
-		bench.RunOne(e, cfg)
+		e.Run(cfg)
 	default:
 		flag.Usage()
 		os.Exit(2)

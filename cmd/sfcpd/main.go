@@ -1,6 +1,6 @@
 // Command sfcpd serves single function coarsest partition solving over
-// HTTP. Each request's algorithm is resolved by the adaptive planner
-// ("auto" picks a concrete solver per instance); instances are scheduled
+// HTTP. Each request's algorithm is resolved by the planner ("auto"
+// becomes the sequential linear-time solver); instances are scheduled
 // onto bounded per-algorithm worker pools and results are cached by
 // (resolved algorithm, seed, instance digest).
 //
@@ -14,7 +14,6 @@
 //	DELETE /jobs/{id}        cooperative cancel
 //	POST   /instances        register a versioned instance -> digest + labels
 //	POST   /instances/{digest}/delta  incremental re-solve of an edited version
-//	POST   /calibrate        re-fit the planner profile on this host
 //	GET    /healthz
 //	GET    /metrics
 //
@@ -31,17 +30,15 @@
 //	      [-cache-bytes 0] [-max-n 1048576] [-max-batch 256] [-workers 0]
 //	      [-seed 0] [-job-ttl 10m] [-job-queue 1024]
 //	      [-batch-wait 1ms] [-batch-size 64] [-batch-max-n 32767]
-//	      [-calibration-file profile.json] [-calibrate-on-start]
-//	      [-calibrate-budget 3s] [-data-dir path] [-spill-n 65536]
-//	      [-instance-sessions 32]
+//	      [-data-dir path] [-spill-n 65536] [-instance-sessions 32]
 //
 // Versioned instances give long-lived sessions sub-linear latency:
 // POST /instances solves once and addresses the result by the
 // instance's SHA-256 digest; POST /instances/{digest}/delta applies a
 // batch of point edits (JSON {"edits":[{"node":0,"f":1,"b":2},...]} or
 // the binary delta frame, Content-Type: application/x-sfcp-delta),
-// re-solving only the dirty components when the planner's crossover
-// allows, and re-registers the session under the edited instance's
+// re-solving only the dirty components when at most 30% of the nodes
+// are dirty, and re-registers the session under the edited instance's
 // digest. Up to -instance-sessions sessions stay resident; evicted or
 // restart-lost versions rebuild from the blob tier when -data-dir is
 // set.
@@ -51,14 +48,6 @@
 // -batch-size members and solve as one planned micro-batch under a shared
 // scratch arena. Responses report "coalesced", "flush_reason" and
 // "queue_ms"; a negative -batch-wait disables coalescing.
-//
-// The adaptive planner's crossover thresholds come from a calibration
-// profile: -calibration-file loads a fitted profile at startup (a
-// missing or corrupt file logs a warning and the built-in defaults
-// serve), -calibrate-on-start re-fits on this host before serving (and
-// persists to the calibration file when one is set), and POST /calibrate
-// re-fits a running daemon. /metrics reports sfcpd_plan_calibrated and
-// the active thresholds.
 //
 // -data-dir opts into tiered durable storage: async jobs journal to
 // <dir>/jobs.journal, and instance payloads plus solved results persist
@@ -102,10 +91,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg serv
 	jobQueue := fs.Int("job-queue", 1024, "largest accepted async job backlog")
 	batchWait := fs.Duration("batch-wait", 0, "max coalescing wait for small solves (0 = 1ms default, negative disables)")
 	batchSize := fs.Int("batch-size", 0, "coalescing micro-batch flush size (0 = 64 default)")
-	batchMaxN := fs.Int("batch-max-n", 0, "largest instance eligible for coalescing (0 = planner's linear-crossover default)")
-	calibFile := fs.String("calibration-file", "", "planner calibration profile to load at startup and persist fits to")
-	calibOnStart := fs.Bool("calibrate-on-start", false, "run a bounded calibration fit before serving")
-	calibBudget := fs.Duration("calibrate-budget", 0, "wall-clock budget per calibration fit (0 = 3s default)")
+	batchMaxN := fs.Int("batch-max-n", 0, "largest instance eligible for coalescing (0 = 32767 default)")
 	dir := fs.String("data-dir", "", "directory for the durable job journal and blob tier (empty = in-memory only)")
 	spillN := fs.Int("spill-n", 0, "instance size at which payloads and results spill to the blob tier (0 = 65536 default; needs -data-dir)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "result cache byte budget (0 = entry-count bound only)")
@@ -127,9 +113,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg serv
 		BatchMaxWait:        *batchWait,
 		BatchMaxSize:        *batchSize,
 		BatchMaxN:           *batchMaxN,
-		CalibrationFile:     *calibFile,
-		CalibrateOnStart:    *calibOnStart,
-		CalibrateBudget:     *calibBudget,
 		SpillN:              *spillN,
 		CacheBytes:          *cacheBytes,
 		InstanceSessions:    *instSessions,

@@ -14,10 +14,10 @@
 //	                 one sample site
 //	scratchalias   — slices handed out by a coarsest.Scratch arena must
 //	                 not be returned or stored without a copy
-//	crossoverconst — the planner's 1<<15 crossover default may be
+//	crossoverconst — the 1<<15 small-request crossover (the coalescing
+//	                 cap BatchMaxN = LinearCrossoverN - 1 = 32767) may be
 //	                 spelled literally only in internal/calib; everyone
-//	                 else consumes the named constant or the active
-//	                 calibration profile
+//	                 else consumes the named constant
 //
 // The module is deliberately dependency-free, so instead of building on
 // golang.org/x/tools/go/analysis this package carries a minimal clone of

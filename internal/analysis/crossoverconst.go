@@ -6,17 +6,15 @@ import (
 	"strconv"
 )
 
-// CrossoverConst keeps the planner's linear→parallel crossover
-// threshold in exactly one place. 32768 (1<<15) is not an arbitrary
-// buffer size here: it is the measured break-even instance size the
-// adaptive planner defaults to, owned by internal/calib as
-// DefaultMinParallelN and overridden at runtime by fitted calibration
-// profiles. A literal respelling anywhere else re-freezes that measured
-// quantity where no calibration can reach it — the threshold then forks
-// silently the first time a fit or a default change moves the real one.
-// Code outside internal/calib must consume calib.DefaultMinParallelN,
-// engine.MinParallelN, or the active profile's MinParallelN instead.
-// Tests are exempt: fixtures legitimately pin concrete sizes.
+// CrossoverConst keeps the small-request crossover in exactly one
+// place. 32768 (1<<15) is not an arbitrary buffer size here: it is
+// calib.DefaultMinParallelN, exported as sfcp.LinearCrossoverN, whose
+// remaining job is sfcpd's coalescing cap BatchMaxN = LinearCrossoverN
+// - 1 = 32767. That value must not change, and a literal respelling
+// anywhere else would fork it silently the first time the constant
+// moves. Code outside internal/calib must consume
+// calib.DefaultMinParallelN or sfcp.LinearCrossoverN instead. Tests are
+// exempt: fixtures legitimately pin concrete sizes.
 var CrossoverConst = &Analyzer{
 	Name: "crossoverconst",
 	Doc:  "forbid literal 1<<15/32768 crossover constants outside internal/calib",
@@ -51,13 +49,13 @@ func runCrossoverConst(p *Pass) error {
 				shift, ok2 := intLit(n.Y)
 				if ok1 && ok2 && shift < 63 && base<<shift == crossoverN {
 					p.Reportf(n.Pos(),
-						"literal %d<<%d is the planner crossover constant; use calib.DefaultMinParallelN or the active profile's MinParallelN", base, shift)
+						"literal %d<<%d is the planner crossover constant; use calib.DefaultMinParallelN or sfcp.LinearCrossoverN (the coalescing cap BatchMaxN is LinearCrossoverN-1)", base, shift)
 					return false // the operand literals are part of this finding
 				}
 			case *ast.BasicLit:
 				if v, ok := intLitValue(n); ok && v == crossoverN {
 					p.Reportf(n.Pos(),
-						"literal %s is the planner crossover constant; use calib.DefaultMinParallelN or the active profile's MinParallelN", n.Value)
+						"literal %s is the planner crossover constant; use calib.DefaultMinParallelN or sfcp.LinearCrossoverN (the coalescing cap BatchMaxN is LinearCrossoverN-1)", n.Value)
 				}
 			}
 			return true

@@ -10,7 +10,7 @@ import "go/ast"
 // NumClasses, SamePartition, the incr.Edit/Info types, ...) stay free to
 // use. The same rule covers the incremental path: incr.Build constructs
 // live decomposition state, so it must flow through engine.NewIncremental
-// where the planner and calibration profile see it. The sequential
+// where the resolve planner sees it. The sequential
 // kernel (coarsest.Kernel) is guarded the same way: beyond the engine
 // and coarsest, only incr may run it.
 var EngineDispatch = &Analyzer{

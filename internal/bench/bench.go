@@ -70,7 +70,6 @@ func All() []Experiment {
 		{"A3", "Ablation: m.s.p. recursion cutoff", A3Cutoff},
 		{"A4", "Planner crossover: auto vs forced algorithms (JSON)", A4PlannerCrossover},
 		{"A5", "Coalescing front door: micro-batched vs per-request small solves (JSON)", A5Coalescing},
-		{"A6", "Planner calibration: fitted profile and the measured curves behind it (JSON)", A6Calibration},
 		{"A7", "Tiered storage: blob spill/read throughput and cold-start recovery (JSON)", A7TieredStorage},
 		{"A8", "Incremental re-solve: delta-apply latency vs full re-solve (JSON)", A8IncrementalResolve},
 	}
@@ -629,12 +628,13 @@ func A3Cutoff(cfg Config) {
 	w.Flush()
 }
 
-// A4PlannerCrossover measures the adaptive planner against every forced
-// algorithm at sizes straddling engine.MinParallelN, on the tree-heavy and
-// cycle-heavy families. Unlike the other experiments it emits one JSON
-// document — machine-readable rows suitable for BENCH_*.json trajectory
-// tracking — so regressions of the planner's crossover show up as data,
-// not prose.
+// A4PlannerCrossover measures the planner's auto arm against every forced
+// algorithm on the tree-heavy and cycle-heavy families, at sizes around
+// the 2^15 small-request landmark. It is the standing evidence that
+// native-parallel stays out of auto: every row should resolve auto to
+// linear, and the forced native-parallel column should lose. Unlike the
+// other experiments it emits one JSON document — machine-readable rows
+// suitable for BENCH_*.json trajectory tracking.
 func A4PlannerCrossover(cfg Config) {
 	type row struct {
 		Family       string           `json:"family"`
@@ -644,14 +644,11 @@ func A4PlannerCrossover(cfg Config) {
 		AutoNS       int64            `json:"auto_ns"`
 		ForcedNS     map[string]int64 `json:"forced_ns"`
 	}
-	prof := engine.ActiveProfile()
 	doc := struct {
 		Experiment    string                `json:"experiment"`
 		Title         string                `json:"title"`
 		GOMAXPROCS    int                   `json:"gomaxprocs"`
 		Host          calib.HostFingerprint `json:"host"`
-		ProfileSource string                `json:"profile_source"`
-		MinParallelN  int                   `json:"planner_min_parallel_n"`
 		RepsPerSample int                   `json:"reps_per_sample"`
 		Rows          []row                 `json:"rows"`
 	}{
@@ -659,17 +656,13 @@ func A4PlannerCrossover(cfg Config) {
 		Title:         "planner crossover: auto vs forced algorithms",
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Host:          calib.Fingerprint(),
-		ProfileSource: prof.Source(),
-		MinParallelN:  prof.MinParallelN,
 		RepsPerSample: 3,
 	}
 	forced := []engine.Algorithm{engine.Linear, engine.Hopcroft, engine.NativeParallel}
-	// The n-bracket straddles the *active* profile's crossover, so a
-	// re-run under a fitted profile probes the planner exactly where its
-	// decision now flips.
-	ns := sizes(cfg,
-		[]int{prof.MinParallelN / 4, prof.MinParallelN / 2, prof.MinParallelN, 2 * prof.MinParallelN, 4 * prof.MinParallelN},
-		[]int{prof.MinParallelN / 2, prof.MinParallelN, 2 * prof.MinParallelN})
+	// The bracket is fixed so rows stay comparable with the checked-in
+	// BENCH_A4.json across runs: 2^13…2^17 (2^14…2^16 with -quick).
+	mid := calib.DefaultMinParallelN
+	ns := sizes(cfg, []int{mid / 4, mid / 2, mid, 2 * mid, 4 * mid}, []int{mid / 2, mid, 2 * mid})
 	best := func(req engine.Request, in coarsest.Instance) (engine.Outcome, int64) {
 		var out engine.Outcome
 		bestNS := int64(1) << 62
@@ -1019,54 +1012,11 @@ func A5Coalescing(cfg Config) {
 	_ = enc.Encode(doc)
 }
 
-// A6Calibration runs the condensed calibration experiment (internal/calib)
-// on this host and emits the fitted profile together with the crossover
-// and worker-scaling curves it was read off — the BENCH_A6.json trajectory
-// snapshot each perf PR checks in. The fit is budget-bounded; a truncated
-// report says so rather than extrapolating.
-func A6Calibration(cfg Config) {
-	budget := 3 * time.Second
-	if cfg.Quick {
-		budget = 750 * time.Millisecond
-	}
-	rep, err := calib.Calibrate(context.Background(), calib.Options{Budget: budget, Seed: cfg.Seed})
-	if err != nil {
-		fmt.Fprintf(cfg.Out, "{\"experiment\":\"A6\",\"error\":%q}\n", err.Error())
-		return
-	}
-	doc := struct {
-		Experiment string `json:"experiment"`
-		Title      string `json:"title"`
-		BudgetMS   int64  `json:"budget_ms"`
-		*calib.Report
-	}{
-		Experiment: "A6",
-		Title:      "planner calibration: fitted profile and the measured curves behind it",
-		BudgetMS:   budget.Milliseconds(),
-		Report:     rep,
-	}
-	enc := json.NewEncoder(cfg.Out)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
-}
-
-// RunOne executes one experiment with the process-global planner profile
-// saved and restored around it. The profile is engine.SetProfile state
-// shared by every experiment in the process (and by the -calibration-file
-// flag), so an experiment that installs a fitted profile mid-run must not
-// skew the plans of whatever runs after it — -exp order and -all must
-// measure the same planner.
-func RunOne(e Experiment, cfg Config) {
-	prev := engine.InstalledProfile()
-	defer engine.SetProfile(prev)
-	e.Run(cfg)
-}
-
 // RunAll executes every experiment in order.
 func RunAll(cfg Config) {
 	for _, e := range All() {
 		fmt.Fprintf(cfg.Out, "==== %s — %s ====\n", e.ID, e.Title)
-		RunOne(e, cfg)
+		e.Run(cfg)
 		fmt.Fprintln(cfg.Out)
 	}
 }

@@ -2,12 +2,8 @@ package bench
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
-
-	"sfcp/internal/calib"
-	"sfcp/internal/engine"
 )
 
 func TestAllExperimentsRunQuick(t *testing.T) {
@@ -26,36 +22,6 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				t.Errorf("%s reported %q:\n%s", e.ID, bad, out)
 			}
 		}
-	}
-}
-
-// TestRunOneRestoresProfile pins the fix for experiments leaking a fitted
-// calibration profile into the process-global planner: whatever an
-// experiment installs via engine.SetProfile, RunOne must undo, so the
-// order of -exp invocations (or position within -all) cannot skew later
-// measurements.
-func TestRunOneRestoresProfile(t *testing.T) {
-	orig := engine.InstalledProfile()
-	defer engine.SetProfile(orig)
-
-	mutator := Experiment{ID: "TX", Title: "installs a profile", Run: func(Config) {
-		engine.SetProfile(&calib.Profile{Version: 1})
-	}}
-	cfg := Config{Out: io.Discard, Quick: true, Seed: 1}
-
-	sentinel := &calib.Profile{Version: 1}
-	engine.SetProfile(sentinel)
-	RunOne(mutator, cfg)
-	if got := engine.InstalledProfile(); got != sentinel {
-		t.Errorf("installed profile after RunOne = %p, want sentinel %p", got, sentinel)
-	}
-
-	// The defaults case: nothing installed must stay nothing installed,
-	// not become a pinned copy of the defaults.
-	engine.SetProfile(nil)
-	RunOne(mutator, cfg)
-	if got := engine.InstalledProfile(); got != nil {
-		t.Errorf("installed profile after RunOne = %p, want nil (defaults)", got)
 	}
 }
 

@@ -1,33 +1,6 @@
 package calib
 
-import (
-	"context"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-	"time"
-)
-
-func TestDefaultProfileValidates(t *testing.T) {
-	p := Default()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("default profile invalid: %v", err)
-	}
-	if p.Calibrated {
-		t.Error("default profile claims to be calibrated")
-	}
-	if p.Source() != "default" {
-		t.Errorf("Source() = %q, want default", p.Source())
-	}
-	if p.MinParallelN != DefaultMinParallelN || p.WorkerGrain != DefaultWorkerGrain {
-		t.Errorf("default profile does not carry the default constants: %+v", p)
-	}
-	var nilProfile *Profile
-	if nilProfile.Source() != "default" {
-		t.Error("nil profile must read as default")
-	}
-}
+import "testing"
 
 func TestFingerprintSane(t *testing.T) {
 	fp := Fingerprint()
@@ -37,267 +10,4 @@ func TestFingerprintSane(t *testing.T) {
 	if fp.GOOS == "" || fp.GOARCH == "" {
 		t.Errorf("fingerprint missing GOOS/GOARCH: %+v", fp)
 	}
-}
-
-func TestValidateBounds(t *testing.T) {
-	bad := []func(*Profile){
-		func(p *Profile) { p.Version = ProfileVersion + 1 },
-		func(p *Profile) { p.MinParallelN = 0 },
-		func(p *Profile) { p.BreakEvenLogDivisor = 0 },
-		func(p *Profile) { p.BreakEvenLogDivisor = 65 },
-		func(p *Profile) { p.WorkerGrain = 0 },
-		func(p *Profile) { p.MaxUsefulWorkers = -1 },
-	}
-	for i, mutate := range bad {
-		p := Default()
-		mutate(p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("mutation %d: invalid profile passed validation: %+v", i, p)
-		}
-	}
-}
-
-// TestFitCrossover pins the sustained-win rule on synthetic sweeps: one
-// noisy parallel win below a loss must not move the crossover, and a
-// sweep where parallel never wins pushes the crossover past the bracket.
-func TestFitCrossover(t *testing.T) {
-	pt := func(n int, lin, par int64) CrossoverPoint {
-		return CrossoverPoint{N: n, LinearNS: lin, ParallelNS: par}
-	}
-	cases := []struct {
-		name   string
-		points []CrossoverPoint
-		want   int
-	}{
-		{"empty sweep keeps default", nil, DefaultMinParallelN},
-		{"clean crossover at 1<<14",
-			[]CrossoverPoint{pt(1<<12, 100, 300), pt(1<<13, 200, 250), pt(1<<14, 400, 350), pt(1<<15, 800, 500)},
-			1 << 14},
-		{"noisy early win ignored",
-			[]CrossoverPoint{pt(1<<12, 100, 90), pt(1<<13, 200, 250), pt(1<<14, 400, 350), pt(1<<15, 800, 500)},
-			1 << 14},
-		{"parallel never wins: crossover past the sweep",
-			[]CrossoverPoint{pt(1<<12, 100, 300), pt(1<<13, 200, 400), pt(1<<14, 400, 900)},
-			1 << 15},
-		{"parallel always wins: crossover at the sweep floor",
-			[]CrossoverPoint{pt(1<<12, 300, 100), pt(1<<13, 500, 200)},
-			1 << 12},
-	}
-	for _, tc := range cases {
-		if got := FitCrossover(tc.points); got != tc.want {
-			t.Errorf("%s: FitCrossover = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestFitWorkers pins the bandwidth-knee rule: scaling stops at the last
-// doubling that still delivered kneeGain, not at core count.
-func TestFitWorkers(t *testing.T) {
-	wp := func(w int, eps float64) WorkerPoint {
-		return WorkerPoint{Workers: w, ElementsPerSec: eps}
-	}
-	// Perfect scaling 1->2->4, saturation at 8 (gain < kneeGain).
-	maxW, grain, ok := FitWorkers(1<<17, []WorkerPoint{
-		wp(1, 100), wp(2, 195), wp(4, 380), wp(8, 400),
-	})
-	if !ok || maxW != 4 {
-		t.Fatalf("knee at 4 workers not found: maxW=%d ok=%v", maxW, ok)
-	}
-	if want := 1 << 15; grain != want {
-		t.Errorf("grain = %d, want %d (sweepN/maxUseful)", grain, want)
-	}
-	// Single-core sweep: cap is 1, grain clamps to the sweep size.
-	maxW, grain, ok = FitWorkers(1<<17, []WorkerPoint{wp(1, 100)})
-	if !ok || maxW != 1 || grain != 1<<17 {
-		t.Errorf("single-point sweep: maxW=%d grain=%d ok=%v", maxW, grain, ok)
-	}
-	// Immediate saturation: adding the 2nd worker gains nothing.
-	maxW, _, _ = FitWorkers(1<<17, []WorkerPoint{wp(1, 100), wp(2, 101), wp(4, 300)})
-	if maxW != 1 {
-		t.Errorf("immediate knee: maxW = %d, want 1 (later recovery is past the knee)", maxW)
-	}
-	// Tiny grain clamps at the floor.
-	_, grain, _ = FitWorkers(1<<12, []WorkerPoint{wp(1, 100), wp(2, 300)})
-	if grain != 1<<12 {
-		t.Errorf("grain floor: %d, want %d", grain, 1<<12)
-	}
-	if _, _, ok := FitWorkers(0, nil); ok {
-		t.Error("empty sweep must not fit")
-	}
-}
-
-// TestFitBreakEvenDivisor pins the slowdown-ratio rule on synthetic
-// measurements: one worker 4x slower than linear at n=2^17 (log2 ≈ 17)
-// needs ~4 cores, so d ≈ 17/4 ≈ 4.
-func TestFitBreakEvenDivisor(t *testing.T) {
-	cross := []CrossoverPoint{{N: 1 << 17, LinearNS: 1000}}
-	workers := []WorkerPoint{{Workers: 1, NS: 4000}}
-	d, ok := FitBreakEvenDivisor(cross, workers)
-	if !ok || d != 4 {
-		t.Errorf("divisor = %d ok=%v, want 4 true", d, ok)
-	}
-	// A parallel solver faster than linear on one worker clamps the
-	// ratio at 1: the divisor saturates at log2(n) capped to 64.
-	d, ok = FitBreakEvenDivisor(cross, []WorkerPoint{{Workers: 1, NS: 500}})
-	if !ok || d != 17 {
-		t.Errorf("clamped ratio: divisor = %d ok=%v, want 17 true", d, ok)
-	}
-	if _, ok := FitBreakEvenDivisor(nil, workers); ok {
-		t.Error("no crossover points must not fit")
-	}
-	if _, ok := FitBreakEvenDivisor(cross, nil); ok {
-		t.Error("no worker points must not fit")
-	}
-	if _, ok := FitBreakEvenDivisor(cross, []WorkerPoint{{Workers: 2, NS: 100}}); ok {
-		t.Error("sweep without a single-worker point must not fit")
-	}
-}
-
-// TestCalibrateQuick runs a real (tiny) fit end to end: the profile must
-// validate, be marked calibrated, and carry this host's fingerprint.
-func TestCalibrateQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing fit skipped in -short")
-	}
-	rep, err := Calibrate(context.Background(), Options{Budget: 500 * time.Millisecond, MaxN: 1 << 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := rep.Profile
-	if err := p.Validate(); err != nil {
-		t.Fatalf("fitted profile invalid: %v\n%+v", err, p)
-	}
-	if !p.Calibrated || p.Source() != "calibrated" {
-		t.Errorf("fitted profile not marked calibrated: %+v", p)
-	}
-	if p.Host.GOMAXPROCS == 0 || p.FittedAt == "" {
-		t.Errorf("fitted profile missing host stamp or fit time: %+v", p)
-	}
-	if len(rep.Crossover) == 0 {
-		t.Error("report carries no crossover measurements")
-	}
-}
-
-// TestCalibrateCancelled: a context dead on arrival yields an error, not
-// a fabricated profile.
-func TestCalibrateCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Calibrate(ctx, Options{Budget: time.Second}); err == nil {
-		t.Fatal("cancelled calibration returned a profile")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "profile.json")
-	p := Default()
-	p.Calibrated = true
-	p.MinParallelN = 12345
-	p.MaxUsefulWorkers = 6
-	p.FittedAt = "2026-08-07T00:00:00Z"
-	if err := p.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *back != *p {
-		t.Errorf("round trip mismatch:\nsaved  %+v\nloaded %+v", p, back)
-	}
-	// Atomic rewrite: saving over an existing file replaces it wholesale
-	// and leaves no temporary siblings behind.
-	p.MinParallelN = 54321
-	if err := p.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err = Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.MinParallelN != 54321 {
-		t.Errorf("rewrite not visible: %+v", back)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Errorf("stray files after atomic rewrites: %v", names)
-	}
-}
-
-func TestSaveRejectsInvalid(t *testing.T) {
-	p := Default()
-	p.WorkerGrain = 0
-	if err := p.Save(filepath.Join(t.TempDir(), "p.json")); err == nil {
-		t.Fatal("invalid profile persisted")
-	}
-}
-
-// TestLoadLenientFallbacks: every way a profile file can be wrong
-// degrades to the default profile with a logged warning — never an
-// error the caller could turn into a startup failure.
-func TestLoadLenientFallbacks(t *testing.T) {
-	dir := t.TempDir()
-	cases := []struct {
-		name    string
-		prepare func(path string)
-		wantLog string
-	}{
-		{"missing file", func(string) {}, "not found"},
-		{"corrupt JSON", func(path string) {
-			os.WriteFile(path, []byte("{nope"), 0o644)
-		}, "unusable"},
-		{"trailing garbage", func(path string) {
-			p := Default()
-			p.Save(path)
-			f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-			f.WriteString("{}")
-			f.Close()
-		}, "unusable"},
-		{"version skew", func(path string) {
-			os.WriteFile(path, []byte(`{"version":99,"min_parallel_n":1,"break_even_log_divisor":3,"worker_grain":1,"max_useful_workers":0,"host":{"gomaxprocs":1,"num_cpu":1,"goos":"linux","goarch":"amd64"},"calibrated":true}`), 0o644)
-		}, "unusable"},
-		{"out-of-range field", func(path string) {
-			os.WriteFile(path, []byte(`{"version":1,"min_parallel_n":0,"break_even_log_divisor":3,"worker_grain":1,"max_useful_workers":0,"host":{"gomaxprocs":1,"num_cpu":1,"goos":"linux","goarch":"amd64"},"calibrated":true}`), 0o644)
-		}, "unusable"},
-		{"unknown field", func(path string) {
-			os.WriteFile(path, []byte(`{"version":1,"surprise":true}`), 0o644)
-		}, "unusable"},
-	}
-	for i, tc := range cases {
-		path := filepath.Join(dir, tc.name+".json")
-		_ = i
-		tc.prepare(path)
-		var logged strings.Builder
-		p := LoadLenient(path, func(format string, args ...any) {
-			logged.WriteString(format)
-		})
-		if p == nil || p.Calibrated {
-			t.Errorf("%s: lenient load did not fall back to defaults: %+v", tc.name, p)
-		}
-		if !strings.Contains(logged.String(), tc.wantLog) {
-			t.Errorf("%s: warning %q does not mention %q", tc.name, logged.String(), tc.wantLog)
-		}
-	}
-	// A good file loads without any warning.
-	good := filepath.Join(dir, "good.json")
-	p := Default()
-	p.Calibrated = true
-	if err := p.Save(good); err != nil {
-		t.Fatal(err)
-	}
-	var logged strings.Builder
-	loaded := LoadLenient(good, func(format string, args ...any) { logged.WriteString(format) })
-	if !loaded.Calibrated || logged.Len() > 0 {
-		t.Errorf("clean load: profile %+v, warnings %q", loaded, logged.String())
-	}
-	// And a nil logf must not panic.
-	LoadLenient(filepath.Join(dir, "nowhere.json"), nil)
 }

@@ -5,18 +5,15 @@
 // Solver and its batches, sfcpd's synchronous handlers and async job
 // dispatchers, and the sfcp CLI — routes through Run, which
 //
-//  1. computes cheap instance features (size, a sampled initial-label
-//     count, a sampled cycle/tree structure probe),
-//  2. resolves the request to an explainable Plan{Algorithm, Workers,
-//     Reason} — Auto picks the sequential linear-time solver below a
-//     benchmark-calibrated crossover and the goroutine-parallel solver
-//     above it, with the worker count scaled to the instance instead of
-//     always GOMAXPROCS — and
-//  3. executes the plan through the single dispatch table mapping each
+//  1. resolves the request to an explainable Plan{Algorithm, Workers,
+//     Reason} — Auto is always the sequential linear-time solver with one
+//     worker, because the goroutine-parallel solver lost to it at every
+//     size on every host measured (BENCH_A4) — and
+//  2. executes the plan through the single dispatch table mapping each
 //     Algorithm to its internal/coarsest entry point.
 //
-// Plans are deterministic: identical instances with identical requests
-// yield identical plans (the probe samples by fixed stride, never by RNG).
+// Plans are deterministic: identical instance sizes with identical
+// requests yield identical plans.
 package engine
 
 import (
@@ -33,8 +30,7 @@ type Algorithm uint8
 
 // The solver catalogue, in canonical presentation order.
 const (
-	// Auto lets the planner pick per instance: the sequential linear-time
-	// solver below the calibrated crossover, NativeParallel above it.
+	// Auto lets the planner pick; it resolves to Linear (see MakePlan).
 	Auto Algorithm = iota
 	// Moore is naive iterative refinement (O(n^2) worst case).
 	Moore
@@ -45,7 +41,8 @@ const (
 	// ParallelPRAM is the paper's algorithm on the instrumented CRCW PRAM
 	// simulator (Theorem 5.1).
 	ParallelPRAM
-	// NativeParallel runs goroutines on real cores.
+	// NativeParallel runs goroutines on real cores. Only an explicit
+	// request selects it.
 	NativeParallel
 	// DoublingHash is the O(n log n)-work parallel baseline on the simulator.
 	DoublingHash

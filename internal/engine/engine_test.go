@@ -3,10 +3,12 @@ package engine
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sfcp/internal/calib"
 	"sfcp/internal/coarsest"
+	"sfcp/internal/incr"
 	"sfcp/internal/workload"
 )
 
@@ -34,12 +36,11 @@ func families(seed int64, n int) map[string]coarsest.Instance {
 }
 
 // TestPlannerAgreesWithLinear is the differential gate on the planner:
-// whatever Auto resolves to — on either side of the crossover, with a
-// budget that forces the sequential branch and one that allows the
-// parallel branch — the labels must equal the linear reference exactly
-// (all solvers normalize by first occurrence, so equality is slice-wise).
+// whatever Auto resolves to, at any size and worker budget, the labels
+// must equal the linear reference exactly (all solvers normalize by first
+// occurrence, so equality is slice-wise).
 func TestPlannerAgreesWithLinear(t *testing.T) {
-	for _, n := range []int{MinParallelN / 2, MinParallelN} {
+	for _, n := range []int{calib.DefaultMinParallelN / 2, calib.DefaultMinParallelN} {
 		for name, in := range families(1993, n) {
 			want := coarsest.LinearSequential(in)
 			for _, workers := range []int{1, 16} {
@@ -60,9 +61,9 @@ func TestPlannerAgreesWithLinear(t *testing.T) {
 }
 
 // TestPlanDeterminism: identical instances and requests always yield
-// identical plans — reason string, features and all.
+// identical plans — reason string and all.
 func TestPlanDeterminism(t *testing.T) {
-	for name, in := range families(7, MinParallelN/2) {
+	for name, in := range families(7, calib.DefaultMinParallelN/2) {
 		for _, req := range []Request{
 			{Algorithm: Auto},
 			{Algorithm: Auto, Workers: 16},
@@ -86,44 +87,41 @@ func TestPlanDeterminism(t *testing.T) {
 	}
 }
 
-// TestCrossoverRules pins the planner's decision table: linear below the
-// crossover or under a starved budget, native-parallel (with size-scaled
-// workers) above it with budget to spare.
-func TestCrossoverRules(t *testing.T) {
-	small := families(3, MinParallelN/2)["random-function"]
-	big := families(3, 4*MinParallelN)["random-function"]
-
-	cases := []struct {
-		name        string
-		in          coarsest.Instance
-		workers     int
-		wantAlgo    Algorithm
-		wantWorkers int
-	}{
-		{"below crossover, wide budget", small, 64, Linear, 1},
-		{"above crossover, single core", big, 1, Linear, 1},
-		{"above crossover, wide budget", big, 64, NativeParallel, 4 * MinParallelN / calib.DefaultWorkerGrain},
-	}
-	for _, tc := range cases {
-		plan, err := MakePlan(tc.in, Request{Algorithm: Auto, Workers: tc.workers})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if plan.Algorithm != tc.wantAlgo || plan.Workers != tc.wantWorkers {
-			t.Errorf("%s: plan = %s/%d workers, want %s/%d (reason %q)",
-				tc.name, plan.Algorithm, plan.Workers, tc.wantAlgo, tc.wantWorkers, plan.Reason)
-		}
-		if plan.Reason == "" || !plan.Features.Probed {
-			t.Errorf("%s: auto plan missing reason or probe: %+v", tc.name, plan)
+// TestAutoResolvesLinear pins the planner's auto arm: every size and
+// every worker budget, for single solves and coalesced batches, resolves
+// to Linear with one worker.
+func TestAutoResolvesLinear(t *testing.T) {
+	for _, n := range []int{1, 1 << 15, 1 << 20} {
+		wl := workload.RandomFunction(3, n, 3)
+		in := coarsest.Instance{F: wl.F, B: wl.B}
+		for _, workers := range []int{0, 1, 2, 64} {
+			req := Request{Algorithm: Auto, Workers: workers}
+			plan, err := MakePlan(in, req)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			if plan.Algorithm != Linear || plan.Workers != 1 || plan.Reason == "" {
+				t.Errorf("MakePlan n=%d workers=%d: %s/%d (reason %q), want linear/1",
+					n, workers, plan.Algorithm, plan.Workers, plan.Reason)
+			}
+			batch, err := MakeBatchPlan([]coarsest.Instance{in, in}, req)
+			if err != nil {
+				t.Fatalf("batch n=%d workers=%d: %v", n, workers, err)
+			}
+			if batch.Algorithm != Linear || batch.Workers != 1 {
+				t.Errorf("MakeBatchPlan n=%d workers=%d: %s/%d (reason %q), want linear/1",
+					n, workers, batch.Algorithm, batch.Workers, batch.Reason)
+			}
 		}
 	}
 }
 
 // TestExplicitPlans: explicit algorithm requests are honored verbatim; an
 // explicit worker count on native-parallel is an instruction, while an
-// unstated one is scaled to the instance.
+// unstated one grants one worker per calib.DefaultWorkerGrain elements,
+// capped at NumCPU.
 func TestExplicitPlans(t *testing.T) {
-	in := families(5, 4*MinParallelN)["random-function"]
+	in := families(5, 4*calib.DefaultMinParallelN)["random-function"]
 	for _, algo := range []Algorithm{Moore, Hopcroft, Linear, ParallelPRAM, NativeParallel, DoublingHash, DoublingSort} {
 		plan, err := MakePlan(in, Request{Algorithm: algo, Workers: 3})
 		if err != nil {
@@ -132,43 +130,58 @@ func TestExplicitPlans(t *testing.T) {
 		if plan.Algorithm != algo {
 			t.Errorf("explicit %v request resolved to %v", algo, plan.Algorithm)
 		}
-		if plan.Features.Probed {
-			t.Errorf("%v: explicit request ran the probe", algo)
-		}
 	}
 	explicit, _ := MakePlan(in, Request{Algorithm: NativeParallel, Workers: 64})
 	if explicit.Workers != 64 {
 		t.Errorf("explicit worker count overridden: %d", explicit.Workers)
 	}
 	scaled, _ := MakePlan(in, Request{Algorithm: NativeParallel})
-	if want := scaleWorkers(len(in.F), 1<<30, calib.Default()); scaled.Workers > want {
-		t.Errorf("unstated worker budget not size-scaled: %d > %d", scaled.Workers, want)
+	if want := min(len(in.F)/calib.DefaultWorkerGrain, runtime.NumCPU()); scaled.Workers != want {
+		t.Errorf("unstated native-parallel budget at n=%d granted %d workers, want %d", len(in.F), scaled.Workers, want)
+	}
+	batch, _ := MakeBatchPlan([]coarsest.Instance{{F: []int{0}, B: []int{0}}, in}, Request{Algorithm: NativeParallel})
+	if batch.Algorithm != NativeParallel || batch.Workers != scaled.Workers {
+		t.Errorf("explicit batch plan = %s/%d, want native-parallel/%d from the largest member",
+			batch.Algorithm, batch.Workers, scaled.Workers)
 	}
 }
 
-// TestProbeFeatures sanity-checks the structure probe on instances whose
-// shape is known by construction.
-func TestProbeFeatures(t *testing.T) {
-	n := 1 << 12
-	shortCycles := workload.CycleFamily(11, n/16, 16, 4)
-	ft := Probe(coarsest.Instance{F: shortCycles.F, B: shortCycles.B})
-	if ft.ShortCycleFrac != 1.0 {
-		t.Errorf("16-cycles family: ShortCycleFrac = %v, want 1.0", ft.ShortCycleFrac)
+// TestPlanResolveCrossover pins the incremental/full split at the
+// constant calib.DefaultIncrMaxDirtyFrac: on 100 self-loop components,
+// dirtying 29 stays incremental and dirtying 31 falls back to a full
+// re-solve, and ResolveDelta executes what the plan says.
+func TestPlanResolveCrossover(t *testing.T) {
+	const n = 100
+	f, b := make([]int, n), make([]int, n)
+	for i := range f {
+		f[i] = i
 	}
-	star := workload.Star(11, n, 3)
-	if ft := Probe(coarsest.Instance{F: star.F, B: star.B}); ft.ShortCycleFrac != 1.0 {
-		t.Errorf("star: ShortCycleFrac = %v, want 1.0 (every walk hits the self-loop)", ft.ShortCycleFrac)
-	}
-	perm := workload.RandomPermutation(11, n, 3)
-	if ft := Probe(coarsest.Instance{F: perm.F, B: perm.B}); ft.ShortCycleFrac > 0.25 {
-		t.Errorf("random permutation: ShortCycleFrac = %v, want near 0 (cycles are long)", ft.ShortCycleFrac)
-	}
-	if ft := Probe(coarsest.Instance{}); ft.N != 0 || !ft.Probed {
-		t.Errorf("empty instance probe = %+v", ft)
-	}
-	uniform := coarsest.Instance{F: []int{1, 2, 0}, B: []int{5, 5, 5}}
-	if ft := Probe(uniform); ft.SampledLabels != 1 {
-		t.Errorf("uniform labels: SampledLabels = %d, want 1", ft.SampledLabels)
+	for _, tc := range []struct {
+		dirty int
+		mode  string
+	}{{29, ResolveIncremental}, {31, ResolveFullFallback}} {
+		st, err := NewIncremental(coarsest.Instance{F: f, B: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		edits := make([]incr.Edit, tc.dirty)
+		for i := range edits {
+			edits[i] = incr.Edit{Node: i, B: 1, SetB: true}
+		}
+		plan, err := PlanResolve(st, edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Mode != tc.mode || plan.DirtyNodes != tc.dirty || plan.DirtyComponents != tc.dirty {
+			t.Errorf("%d/%d dirty: plan = %+v, want mode %s", tc.dirty, n, plan, tc.mode)
+		}
+		out, err := ResolveDelta(st, edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Plan.Mode != tc.mode || out.Info.Rebuilt != (tc.mode == ResolveFullFallback) {
+			t.Errorf("%d/%d dirty: executed %s (rebuilt=%v), want %s", tc.dirty, n, out.Plan.Mode, out.Info.Rebuilt, tc.mode)
+		}
 	}
 }
 

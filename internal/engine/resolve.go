@@ -15,21 +15,20 @@ const (
 	// ResolveIncremental recomputes only the dirty components and splices.
 	ResolveIncremental = "incremental"
 	// ResolveFullFallback rebuilds the whole decomposition — chosen when
-	// the dirty fraction crosses the calibrated threshold, or forced by
+	// the dirty fraction crosses the constant threshold, or forced by
 	// the state's code-exhaustion valve mid-delta.
 	ResolveFullFallback = "full_fallback"
 )
 
 // ResolvePlan is the planner's explainable decision for one delta,
-// mirroring Plan for solves: a concrete mode, the dirty-set measurements
-// behind it, and the threshold source.
+// mirroring Plan for solves: a concrete mode and the dirty-set
+// measurements behind it.
 type ResolvePlan struct {
 	Mode            string  `json:"mode"`
 	Reason          string  `json:"reason"`
 	DirtyComponents int     `json:"dirty_components"`
 	DirtyNodes      int     `json:"dirty_nodes"`
 	DirtyFrac       float64 `json:"dirty_frac"`
-	ProfileSource   string  `json:"profile_source,omitempty"`
 }
 
 // ResolveOutcome is ResolveDelta's full result: the refreshed labels
@@ -51,19 +50,10 @@ func NewIncremental(in coarsest.Instance) (*incr.State, error) {
 }
 
 // PlanResolve sizes a delta's dirty set against the state's current
-// decomposition and resolves incremental-vs-full from the process-wide
-// profile's crossover. Deterministic in (state, edits, profile).
+// decomposition and resolves incremental-vs-full at the constant
+// calib.DefaultIncrMaxDirtyFrac crossover. Deterministic in (state,
+// edits).
 func PlanResolve(st *incr.State, edits []incr.Edit) (ResolvePlan, error) {
-	return PlanResolveWithProfile(st, edits, ActiveProfile())
-}
-
-// PlanResolveWithProfile is PlanResolve against an explicit profile, for
-// callers and tests that must not depend on process-wide state. A nil
-// profile means the built-in defaults.
-func PlanResolveWithProfile(st *incr.State, edits []incr.Edit, prof *calib.Profile) (ResolvePlan, error) {
-	if prof == nil {
-		prof = calib.Default()
-	}
 	nodes, comps, err := st.DirtyStats(edits)
 	if err != nil {
 		return ResolvePlan{}, err
@@ -73,22 +63,20 @@ func PlanResolveWithProfile(st *incr.State, edits []incr.Edit, prof *calib.Profi
 	if n > 0 {
 		frac = float64(nodes) / float64(n)
 	}
-	crossover := prof.IncrCrossover()
-	src := prof.Source()
+	const crossover = calib.DefaultIncrMaxDirtyFrac
 	rp := ResolvePlan{
 		DirtyComponents: comps,
 		DirtyNodes:      nodes,
 		DirtyFrac:       frac,
-		ProfileSource:   src,
 	}
 	if frac > crossover {
 		rp.Mode = ResolveFullFallback
-		rp.Reason = fmt.Sprintf("auto: dirty fraction %.3f (%d/%d nodes across %d components) above crossover %.2f [%s profile]; full re-solve rebuilds the decomposition",
-			frac, nodes, n, comps, crossover, src)
+		rp.Reason = fmt.Sprintf("auto: dirty fraction %.3f (%d/%d nodes across %d components) above crossover %.2f; full re-solve rebuilds the decomposition",
+			frac, nodes, n, comps, crossover)
 	} else {
 		rp.Mode = ResolveIncremental
-		rp.Reason = fmt.Sprintf("auto: dirty fraction %.3f (%d/%d nodes across %d components) within crossover %.2f [%s profile]; component-scoped incremental re-solve",
-			frac, nodes, n, comps, crossover, src)
+		rp.Reason = fmt.Sprintf("auto: dirty fraction %.3f (%d/%d nodes across %d components) within crossover %.2f; component-scoped incremental re-solve",
+			frac, nodes, n, comps, crossover)
 	}
 	return rp, nil
 }

@@ -49,13 +49,6 @@ const (
 	metricBatcherQueueSecondsSum   = "sfcpd_batcher_queue_seconds_sum"
 	metricBatcherQueueSecondsCount = "sfcpd_batcher_queue_seconds_count"
 
-	// Calibration families: whether the planner is steering by a fitted
-	// profile (1) or the built-in defaults (0), and the active profile's
-	// threshold fields so a scrape shows the exact numbers behind every
-	// plan this host resolves.
-	metricPlanCalibrated = "sfcpd_plan_calibrated"
-	metricPlanProfile    = "sfcpd_plan_profile"
-
 	// Tiered-storage families: blob-tier traffic (reads/writes/deletes
 	// and their bytes, from the meter wrapping the configured store),
 	// payloads spilled out of RAM, jobs recovered at boot by outcome
@@ -333,33 +326,6 @@ func renderJobs(c jobs.Counts) string {
 	emit("%s %d\n", metricJobsQueued, c.Queued)
 	emit(typeHeader(metricJobsRunning, "gauge"))
 	emit("%s %d\n", metricJobsRunning, c.Running)
-	return string(b)
-}
-
-// renderCalibration writes the planner-profile gauges from the profile
-// the planner is consulting right now (process-wide state owned by the
-// engine, so — like renderJobs — the metrics mutex has nothing to guard).
-func renderCalibration(p *sfcp.CalibrationProfile) string {
-	var b []byte
-	emit := func(format string, args ...any) {
-		b = append(b, fmt.Sprintf(format, args...)...)
-	}
-	calibrated := 0
-	if p != nil && p.Calibrated {
-		calibrated = 1
-	}
-	emit(typeHeader(metricPlanCalibrated, "gauge"))
-	emit("%s %d\n", metricPlanCalibrated, calibrated)
-	emit(typeHeader(metricPlanProfile, "gauge"))
-	if p != nil {
-		emit("%s{field=%q} %d\n", metricPlanProfile, "min_parallel_n", p.MinParallelN)
-		emit("%s{field=%q} %d\n", metricPlanProfile, "break_even_log_divisor", p.BreakEvenLogDivisor)
-		emit("%s{field=%q} %d\n", metricPlanProfile, "worker_grain", p.WorkerGrain)
-		emit("%s{field=%q} %d\n", metricPlanProfile, "max_useful_workers", p.MaxUsefulWorkers)
-		// The effective incremental-vs-full crossover (package default
-		// when the profile predates the field).
-		emit("%s{field=%q} %g\n", metricPlanProfile, "incr_max_dirty_frac", p.IncrCrossover())
-	}
 	return string(b)
 }
 

@@ -5,7 +5,6 @@
 //	POST /solve/batch               many instances, solved concurrently
 //	POST /instances                 register a versioned instance (solve + content address)
 //	POST /instances/{digest}/delta  apply edits to a version, solved incrementally
-//	POST /calibrate                 re-fit the planner's calibration profile on this host
 //	GET  /healthz                   liveness
 //	GET  /metrics                   Prometheus-style counters
 //
@@ -19,8 +18,8 @@
 // both formats, so a collision-crafted wire digest cannot poison the
 // cache and either format hits entries the other populated.
 //
-// Every request's algorithm is first resolved by the library's adaptive
-// planner ("auto" becomes a concrete solver chosen per instance), and the
+// Every request's algorithm is first resolved by the library's planner
+// ("auto" becomes the sequential linear-time solver), and the
 // resolved algorithm keys everything downstream: requests are scheduled
 // onto bounded per-algorithm worker pools and results are memoized in an
 // LRU keyed by (resolved algorithm, seed, instance digest), so hot
@@ -41,7 +40,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sfcp"
@@ -89,20 +87,9 @@ type Config struct {
 	BatchMaxSize int
 	// BatchMaxN is the largest instance (elements) eligible for
 	// coalescing; bigger requests take the per-request pool path
-	// (default sfcp.LinearCrossoverN - 1, the planner's whole
-	// sequential-linear regime).
+	// (default sfcp.LinearCrossoverN - 1 = 32767, the small-request
+	// regime).
 	BatchMaxN int
-	// CalibrationFile, when set, is where POST /calibrate persists the
-	// fitted planner profile (atomic rewrite). Loading it at startup is
-	// the binary's job (sfcpd -calibration-file does both).
-	CalibrationFile string
-	// CalibrateBudget bounds the wall clock of a POST /calibrate fit
-	// (default 3s; requests may lower it with ?budget=).
-	CalibrateBudget time.Duration
-	// CalibrateOnStart runs a bounded calibration fit in New, before the
-	// server takes traffic, and installs (and persists, when
-	// CalibrationFile is set) the fitted profile.
-	CalibrateOnStart bool
 	// JobStore, when set, journals async job submissions and state
 	// transitions so a restart over the same store recovers them:
 	// non-terminal jobs re-queue, terminal ones stay fetchable. Both
@@ -156,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchMaxN <= 0 {
 		c.BatchMaxN = sfcp.LinearCrossoverN - 1
-	}
-	if c.CalibrateBudget <= 0 {
-		c.CalibrateBudget = 3 * time.Second
 	}
 	if c.SpillN <= 0 {
 		c.SpillN = 1 << 16
@@ -255,17 +239,9 @@ type Server struct {
 	// cancels the lifecycle context it derives from.
 	coalescer *batcher.Batcher
 	stop      context.CancelFunc
-
-	// calibrating serializes POST /calibrate: a fit saturates the solver
-	// cores by design, so a second concurrent one would only corrupt both
-	// measurements. CAS, not a mutex — the loser gets a 409, not a queue.
-	calibrating atomic.Bool
 }
 
-// New builds a ready-to-serve Server. When cfg names a calibration file
-// it is loaded (leniently — a bad file degrades to the default profile)
-// and, with CalibrateOnStart, a bounded fit runs before the first
-// request can arrive.
+// New builds a ready-to-serve Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -334,14 +310,12 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/solve/batch", s.handleBatch)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST /calibrate", s.handleCalibrate)
 	s.mux.HandleFunc("POST /instances", s.handleInstanceCreate)
 	s.mux.HandleFunc("POST /instances/{digest}/delta", s.handleInstanceDelta)
 	s.mux.HandleFunc("POST /jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /jobs/{id}", s.handleJobStatus)
 	s.mux.HandleFunc("GET /jobs/{id}/result", s.handleJobResult)
 	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleJobCancel)
-	s.initCalibration()
 	return s
 }
 
@@ -372,7 +346,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	jc := s.jobs.Counts()
 	fmt.Fprint(w, s.metrics.render())
 	fmt.Fprint(w, renderJobs(jc))
-	fmt.Fprint(w, renderCalibration(sfcp.ActiveCalibrationProfile()))
 	fmt.Fprint(w, renderStore(s.blobCounts(), jc, s.journalCorrupt(), s.cache.Bytes()))
 }
 

@@ -22,19 +22,19 @@ func TestResultCarriesPlan(t *testing.T) {
 	if res.Plan.Algorithm == AlgorithmAuto {
 		t.Error("plan not resolved past auto")
 	}
-	if res.Plan.Reason == "" || !res.Plan.Features.Probed {
-		t.Errorf("auto plan missing reason or probe features: %+v", res.Plan)
+	if res.Plan.Reason == "" {
+		t.Errorf("auto plan missing reason: %+v", res.Plan)
 	}
 	if res.Timings.Solve <= 0 {
 		t.Errorf("missing solve timing: %+v", res.Timings)
 	}
 
-	// An explicit request resolves to itself, without probing.
+	// An explicit request resolves to itself.
 	res, err = SolveWith(ins, Options{Algorithm: AlgorithmHopcroft})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan == nil || res.Plan.Algorithm != AlgorithmHopcroft || res.Plan.Features.Probed {
+	if res.Plan == nil || res.Plan.Algorithm != AlgorithmHopcroft {
 		t.Errorf("explicit plan = %+v", res.Plan)
 	}
 }

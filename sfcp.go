@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"sfcp/internal/calib"
 	"sfcp/internal/circ"
 	"sfcp/internal/coarsest"
 	"sfcp/internal/engine"
@@ -50,11 +51,11 @@ func (ins Instance) Validate() error {
 	return coarsest.Instance{F: ins.F, B: ins.B}.Validate()
 }
 
-// LinearCrossoverN is the instance size below which the adaptive planner
-// never picks a parallel solver for AlgorithmAuto — the "small request"
-// regime where per-invocation overhead dominates and coalescing several
-// requests into one planned batch pays off.
-const LinearCrossoverN = engine.MinParallelN
+// LinearCrossoverN marks the "small request" regime: below it
+// per-invocation overhead dominates a solve and coalescing several
+// requests into one planned batch pays off. sfcpd's default coalescing
+// cap BatchMaxN is LinearCrossoverN - 1 = 32767.
+const LinearCrossoverN = calib.DefaultMinParallelN
 
 // Algorithm selects a solver. It aliases the execution engine's type, so
 // the engine's planner and dispatch table are the single source of truth
@@ -62,11 +63,10 @@ const LinearCrossoverN = engine.MinParallelN
 type Algorithm = engine.Algorithm
 
 const (
-	// AlgorithmAuto defers the choice to the adaptive planner, which
-	// resolves it per instance: the sequential linear-time solver below a
-	// benchmark-calibrated crossover (where goroutine fan-out costs more
-	// than it returns), NativeParallel with a size-scaled worker count
-	// above it. Result.Plan reports the resolved algorithm and why.
+	// AlgorithmAuto defers the choice to the planner, which resolves it
+	// to AlgorithmLinear with one worker: goroutine fan-out lost to the
+	// sequential linear-time solver at every size on every host measured
+	// (BENCH_A4). Result.Plan reports the resolved algorithm and why.
 	AlgorithmAuto = engine.Auto
 	// AlgorithmMoore is naive iterative refinement (O(n^2) worst case).
 	AlgorithmMoore = engine.Moore
@@ -78,7 +78,8 @@ const (
 	// CRCW PRAM simulator (Theorem 5.1); Result.Stats reports its
 	// parallel rounds and operations.
 	AlgorithmParallelPRAM = engine.ParallelPRAM
-	// AlgorithmNativeParallel runs goroutines on real cores.
+	// AlgorithmNativeParallel runs goroutines on real cores. Only an
+	// explicit request selects it.
 	AlgorithmNativeParallel = engine.NativeParallel
 	// AlgorithmDoublingHash is the O(n log n)-work parallel baseline
 	// (Galley–Iliopoulos cost shape) on the simulator.
@@ -107,11 +108,12 @@ func fromPRAM(s pram.Stats) *Stats {
 
 // Options configures SolveWith and NewSolver.
 type Options struct {
-	// Algorithm selects the solver (default AlgorithmAuto, resolved per
-	// instance by the adaptive planner; see Result.Plan).
+	// Algorithm selects the solver (default AlgorithmAuto, resolved by
+	// the planner; see Result.Plan).
 	Algorithm Algorithm
-	// Workers bounds host goroutines for the parallel solvers. 0 lets the
-	// engine choose: a NumCPU budget, scaled down to the instance size for
+	// Workers bounds host goroutines for the explicitly requested
+	// parallel solvers; AlgorithmAuto ignores it. 0 lets the engine
+	// choose: NumCPU, scaled down to one worker per 16384 elements for
 	// native-parallel solves (PlanWith reports the exact count).
 	Workers int
 	// Seed drives the simulator's deterministic arbitrary-write choices.
@@ -122,16 +124,12 @@ type Options struct {
 }
 
 // Plan is the execution decision the engine resolved for a solve: the
-// concrete algorithm (never AlgorithmAuto), the exact worker count, a
-// human-readable reason, and the instance features the planner read.
+// concrete algorithm (never AlgorithmAuto), the exact worker count and a
+// human-readable reason.
 type Plan = engine.Plan
 
-// Features are the cheap instance measurements behind a Plan: size, a
-// sampled initial-label count and a sampled cycle/tree structure probe.
-type Features = engine.Features
-
-// Timings reports a solve's per-stage wall clock: planning (feature probe
-// plus algorithm resolution) and the dispatched solve itself.
+// Timings reports a solve's per-stage wall clock: planning (algorithm
+// resolution) and the dispatched solve itself.
 type Timings = engine.Timings
 
 // Result is the output of SolveWith.
@@ -184,9 +182,9 @@ func SolveWithContext(ctx context.Context, ins Instance, opts Options) (Result, 
 }
 
 // PlanWith resolves the execution plan for an instance without solving it:
-// the algorithm that would run (AlgorithmAuto resolved by the adaptive
-// planner), the worker count, and the reason. Planning is deterministic —
-// identical instances and options always yield identical plans.
+// the algorithm that would run (AlgorithmAuto resolved by the planner),
+// the worker count, and the reason. Planning is deterministic — identical
+// instances and options always yield identical plans.
 func PlanWith(ins Instance, opts Options) (Plan, error) {
 	in := coarsest.Instance{F: ins.F, B: ins.B}
 	if err := in.Validate(); err != nil {
@@ -197,14 +195,13 @@ func PlanWith(ins Instance, opts Options) (Plan, error) {
 
 // PlanBatch resolves one execution plan for a coalesced batch of
 // instances: the batch is the planning unit, so N tiny requests share a
-// single resolution instead of paying N probes. Instances are not
-// validated here — batch execution (Solver.SolveBatchPlanned) validates
-// and fails members individually. Plan.Features.N reports the batch's
-// total elements.
+// single resolution. Instances are not validated here — batch execution
+// (Solver.SolveBatchPlanned) validates and fails members individually.
+// Plan.Reason reports the batch's member count and total elements.
 func PlanBatch(instances []Instance, opts Options) (Plan, error) {
 	// The conversion view is recycled: batch planning happens once per
-	// coalesced flush, and MakeBatchPlan only reads it (plans carry
-	// derived features, never instance slices).
+	// coalesced flush, and MakeBatchPlan only reads it (plans never
+	// carry instance slices).
 	ip, _ := planBatchPool.Get().(*[]coarsest.Instance)
 	if ip == nil {
 		ip = new([]coarsest.Instance)
@@ -225,7 +222,7 @@ func PlanBatch(instances []Instance, opts Options) (Plan, error) {
 var planBatchPool sync.Pool
 
 // SolvePlanned executes a plan previously resolved by PlanWith (or
-// Solver.Plan) for this instance, without re-probing or re-planning — the
+// Solver.Plan) for this instance, without re-planning — the
 // path for callers that need the plan before the solve (to pick a queue or
 // a cache key) and must then execute exactly what was promised. Only
 // opts.Seed is consulted; the algorithm and worker count come from the
